@@ -3,12 +3,15 @@
 // in this repository pays: event throughput, cancellation, and the
 // distribution samplers used by the workload/failure models.
 #include <functional>
+#include <string>
+#include <vector>
 #include <benchmark/benchmark.h>
 
 #include "exp/sweep.hpp"
 #include "metrics/elasticity.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
+#include "sched/allocation.hpp"
 #include "sched/engine.hpp"
 #include "sim/arrival.hpp"
 #include "sim/random.hpp"
@@ -225,6 +228,89 @@ void BM_ScoringPolicies(benchmark::State& state) {
                           state.iterations());
 }
 BENCHMARK(BM_ScoringPolicies)->DenseRange(0, 3);
+
+// Policy layer alone: one frozen, seeded SchedulerView handed to decide()
+// over and over — 12 machines whose running set leaves little free, and a
+// deep, shuffled ready queue of 8-task jobs with one demand per job.
+// Most tasks are blocked, so the backfilling policies spend the time in
+// their reservations; fcfs is the ordering + pick_machine floor.
+struct FrozenPolicyView {
+  std::vector<infra::Machine> fleet;
+  std::vector<sched::ReadyTask> ready;
+  std::vector<sched::RunningView> running;
+  sched::SchedulerView view;
+
+  explicit FrozenPolicyView(std::size_t depth) {
+    sim::Rng rng(13);
+    fleet.reserve(12);
+    for (infra::MachineId id = 0; id < 12; ++id) {
+      fleet.emplace_back(id, "m" + std::to_string(id),
+                         infra::ResourceVector{16.0, 64.0, 0.0, 10.0},
+                         id % 3 == 0 ? 1.5 : 1.0);
+    }
+    view.now = sim::from_seconds(3600.0);
+    for (infra::Machine& m : fleet) {
+      for (;;) {
+        const infra::ResourceVector d{
+            static_cast<double>(rng.uniform_int(1, 6)),
+            static_cast<double>(rng.uniform_int(2, 16)), 0.0, 0.0};
+        if (!m.can_fit(d) || m.available().cpu() - d.cpu() < 1.0) break;
+        m.allocate(d);
+        running.push_back(sched::RunningView{
+            m.id(), view.now + sim::from_seconds(rng.uniform(10.0, 600.0)),
+            d});
+      }
+      view.machines.push_back(&m);
+    }
+    for (std::size_t i = 0; ready.size() < depth; ++i) {
+      const infra::ResourceVector d{
+          static_cast<double>(rng.uniform_int(1, 12)),
+          static_cast<double>(rng.uniform_int(1, 48)), 0.0, 0.0};
+      const sim::SimTime submit = sim::from_seconds(static_cast<double>(i));
+      for (std::size_t k = 0; k < 8 && ready.size() < depth; ++k) {
+        sched::ReadyTask t;
+        t.job = static_cast<workload::JobId>(i);
+        t.task_index = k;
+        t.work_seconds = rng.uniform(5.0, 900.0);
+        t.demand = d;
+        t.job_submit = submit;
+        ready.push_back(t);
+      }
+    }
+    rng.shuffle(ready);
+    view.ready = &ready;
+    view.running = &running;
+  }
+};
+
+void BM_PolicyDecide(benchmark::State& state, const std::string& policy,
+                     std::size_t depth) {
+  const FrozenPolicyView frozen(depth);
+  auto p = sched::make_policy(policy);
+  std::size_t proposed = 0;
+  for (auto _ : state) {
+    const auto out = p->decide(frozen.view);
+    proposed = out.size();
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.counters["proposed"] = static_cast<double>(proposed);
+  state.SetItemsProcessed(static_cast<std::int64_t>(depth) *
+                          state.iterations());
+}
+
+const bool kPolicyDecideRegistered = [] {
+  for (const char* policy :
+       {"fcfs", "easy-backfill", "conservative-backfill"}) {
+    for (const std::size_t depth : {64u, 512u, 4096u}) {
+      benchmark::RegisterBenchmark(("BM_PolicyDecide/" + std::string(policy) +
+                                    "/" + std::to_string(depth))
+                                       .c_str(),
+                                   BM_PolicyDecide, std::string(policy),
+                                   std::size_t{depth});
+    }
+  }
+  return true;
+}();
 
 void BM_EngineThroughput_1M(benchmark::State& state) {
   // Million-entity ratchet (ROADMAP item 3): `machines` machines in

@@ -55,7 +55,10 @@ except (FileNotFoundError, json.JSONDecodeError):
 merged = {}
 for path in sys.argv[3:]:
     with open(path) as f:
-        run = json.load(f)
+        text = f.read()
+    if not text.strip():
+        continue  # MCS_BENCH_FILTER matched nothing in this binary
+    run = json.loads(text)
     for bench in run.get("benchmarks", []):
         merged[bench["name"]] = {
             "real_time_ns": bench["real_time"],

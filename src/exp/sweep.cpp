@@ -1,5 +1,7 @@
 #include "exp/sweep.hpp"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -21,15 +23,25 @@ std::uint64_t substream_seed(std::uint64_t base, std::uint64_t index) {
 
 SweepCli parse_sweep_cli(int argc, const char* const* argv) {
   SweepCli cli;
-  auto parse_count = [](const std::string& flag,
-                        const char* value) -> std::size_t {
+  // Plain decimal digits only: strtoull alone would accept leading
+  // whitespace and a sign, and wrap "-3" to 2^64 - 3.
+  auto parse_count = [](const std::string& flag, const char* value,
+                        std::size_t max) -> std::size_t {
     if (value == nullptr) {
       throw std::invalid_argument(flag + ": missing value");
     }
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(value, &end, 10);
-    if (end == value || *end != '\0') {
+    if (std::isdigit(static_cast<unsigned char>(value[0])) == 0) {
       throw std::invalid_argument(flag + ": not a number: " + value);
+    }
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long n = std::strtoull(value, &end, 10);
+    if (*end != '\0') {
+      throw std::invalid_argument(flag + ": not a number: " + value);
+    }
+    if (errno == ERANGE || n > max) {
+      throw std::invalid_argument(flag + ": out of range (max " +
+                                  std::to_string(max) + "): " + value);
     }
     return static_cast<std::size_t>(n);
   };
@@ -38,13 +50,16 @@ SweepCli parse_sweep_cli(int argc, const char* const* argv) {
     if (arg == "--digest") {
       cli.digest = true;
     } else if (arg == "--reps") {
-      cli.reps = parse_count(arg, i + 1 < argc ? argv[++i] : nullptr);
+      cli.reps = parse_count(arg, i + 1 < argc ? argv[++i] : nullptr,
+                             kMaxSweepReps);
     } else if (arg.rfind("--reps=", 0) == 0) {
-      cli.reps = parse_count("--reps", arg.c_str() + 7);
+      cli.reps = parse_count("--reps", arg.c_str() + 7, kMaxSweepReps);
     } else if (arg == "--threads") {
-      cli.threads = parse_count(arg, i + 1 < argc ? argv[++i] : nullptr);
+      cli.threads = parse_count(arg, i + 1 < argc ? argv[++i] : nullptr,
+                                kMaxSweepThreads);
     } else if (arg.rfind("--threads=", 0) == 0) {
-      cli.threads = parse_count("--threads", arg.c_str() + 10);
+      cli.threads = parse_count("--threads", arg.c_str() + 10,
+                                kMaxSweepThreads);
     } else if (arg == "--trace") {
       if (i + 1 >= argc) {
         throw std::invalid_argument("--trace: missing file path");

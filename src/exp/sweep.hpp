@@ -103,8 +103,16 @@ struct SweepCli {
   [[nodiscard]] bool slo() const { return !slo_spec.empty(); }
 };
 
+/// Upper bounds parse_sweep_cli accepts for `--reps` and `--threads`: far
+/// above any real sweep, low enough that a typo cannot ask for an
+/// unallocatable cell grid or thousands of threads.
+inline constexpr std::size_t kMaxSweepReps = 1u << 16;
+inline constexpr std::size_t kMaxSweepThreads = 1024;
+
 /// Parses the flags above; unknown arguments are ignored so binaries can
-/// layer their own. Throws std::invalid_argument on a malformed value.
+/// layer their own. Throws std::invalid_argument on a malformed value: a
+/// count that is not plain decimal digits (no sign, no whitespace) or is
+/// above its bound, a missing value, or a malformed `--slo` spec.
 [[nodiscard]] SweepCli parse_sweep_cli(int argc, const char* const* argv);
 
 }  // namespace mcs::exp

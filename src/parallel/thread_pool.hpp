@@ -28,9 +28,12 @@ namespace mcs::parallel {
 
 /// Fixed-size worker pool. Threads are started once and parked on a
 /// condition variable between batches; each run_tasks call fans a batch of
-/// indexed tasks over them and blocks until every task finished.
+/// indexed tasks over them and blocks until every task finished. The
+/// calling thread takes tasks too, so a batch computes on
+/// thread_count() + 1 threads: ThreadPool(1) and MCS_THREADS=1 use two.
 class ThreadPool {
  public:
+  /// Starts `threads` workers (the caller of run_tasks is one more).
   /// `threads == 0` resolves to the MCS_THREADS environment variable if
   /// set, else std::thread::hardware_concurrency() (min 1).
   explicit ThreadPool(std::size_t threads = 0);
@@ -42,7 +45,7 @@ class ThreadPool {
   [[nodiscard]] std::size_t thread_count() const { return workers_.size(); }
 
   /// Runs fn(i) for every i in [0, tasks), distributing indices over the
-  /// workers, and blocks until all complete. If any task throws, the
+  /// workers and the calling thread, and blocks until all complete. If any task throws, the
   /// exception from the lowest task index is rethrown in the caller
   /// (deterministic error reporting). Not reentrant: tasks must not call
   /// run_tasks on the same pool. `fn` is borrowed only for the duration of

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <optional>
 #include <stdexcept>
 
@@ -17,6 +16,30 @@ namespace {
 // placement pass (K=4 planned capacity, node scoring, zone/anti-affinity
 // admission) is shared with the engine, the fuzzer, and the benches.
 
+// FCFS: job-arrival order, then job id, then task index. One comparator for
+// the fcfs policies and both backfilling policies.
+struct FcfsCmp {
+  bool operator()(const ReadyTask& a, const ReadyTask& b,
+                  const SchedulerView&) const {
+    if (a.job_submit != b.job_submit) return a.job_submit < b.job_submit;
+    if (a.job != b.job) return a.job < b.job;
+    return a.task_index < b.task_index;
+  }
+};
+
+/// Ready-queue indices, stable-sorted by `cmp`.
+template <typename Compare>
+std::vector<std::size_t> ready_order(const SchedulerView& view,
+                                     const Compare& cmp) {
+  std::vector<std::size_t> order(view.ready->size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return cmp((*view.ready)[a], (*view.ready)[b], view);
+                   });
+  return order;
+}
+
 /// Shared skeleton: order the ready queue by a comparator, then greedily
 /// place under a fit heuristic.
 template <typename Compare>
@@ -28,12 +51,7 @@ class OrderedPolicy final : public AllocationPolicy {
   [[nodiscard]] std::string name() const override { return name_; }
 
   std::vector<Assignment> decide(const SchedulerView& view) override {
-    std::vector<std::size_t> order(view.ready->size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return cmp_((*view.ready)[a], (*view.ready)[b], view);
-                     });
+    const std::vector<std::size_t> order = ready_order(view, cmp_);
     PlannedCapacity planned(view.machines);
     std::vector<Assignment> out;
     out.reserve(view.ready->size());
@@ -70,6 +88,86 @@ std::string fit_suffix(Fit fit) {
   return "";
 }
 
+// ---- release profile ---------------------------------------------------------
+
+/// When capacity frees up where: the round's running set bucketed by
+/// machine id (CSR offsets over `const RunningView*`), each bucket sorted
+/// by expected_end. Built once per decide(), and only once some task is
+/// blocked; reservation_for is then O(machines + running) with no
+/// allocation.
+///
+/// Bit-identical to sorting each machine's tasks afresh per call: the
+/// counting pass keeps the running set's relative order inside a bucket,
+/// so each bucket's std::sort (same comparator) sees the same input
+/// sequence and yields the same permutation — the order in which demands
+/// are summed into `free`, and so every floating-point result, is kept.
+class ReleaseProfile {
+ public:
+  explicit ReleaseProfile(const SchedulerView& view) {
+    const std::vector<RunningView>& running = *view.running;
+    std::size_t buckets = 0;
+    for (const RunningView& r : running) {
+      buckets = std::max<std::size_t>(buckets, std::size_t{r.machine} + 1);
+    }
+    // Count into offsets_[m + 1], prefix-sum to bucket ends, then place
+    // with offsets_[m] as the cursor; a final shift restores the starts.
+    offsets_.assign(buckets + 1, 0);
+    for (const RunningView& r : running) {
+      ++offsets_[std::size_t{r.machine} + 1];
+    }
+    for (std::size_t m = 1; m <= buckets; ++m) offsets_[m] += offsets_[m - 1];
+    entries_.reserve(running.size());
+    entries_.resize(running.size());
+    for (const RunningView& r : running) entries_[offsets_[r.machine]++] = &r;
+    for (std::size_t m = buckets; m > 0; --m) offsets_[m] = offsets_[m - 1];
+    offsets_[0] = 0;
+    for (std::size_t m = 0; m < buckets; ++m) {
+      std::sort(entries_.begin() + static_cast<std::ptrdiff_t>(offsets_[m]),
+                entries_.begin() + static_cast<std::ptrdiff_t>(offsets_[m + 1]),
+                [](const RunningView* a, const RunningView* b) {
+                  return a->expected_end < b->expected_end;
+                });
+    }
+  }
+
+  /// Earliest time at which `t` is expected to fit on some machine of
+  /// `view.machines`, and that machine's id, assuming running tasks
+  /// release their resources at their expected_end. kTimeInfinity when it
+  /// fits nowhere.
+  [[nodiscard]] std::pair<sim::SimTime, infra::MachineId> reservation_for(
+      const ReadyTask& t, const SchedulerView& view) const {
+    sim::SimTime best_time = sim::kTimeInfinity;
+    infra::MachineId best_machine = 0;
+    for (const infra::Machine* m : view.machines) {
+      if (!t.demand.fits_within(m->capacity())) continue;
+      if (!machine_in_zone(t, m->id())) continue;
+      // Release this machine's running tasks in end-time order until the
+      // task fits.
+      infra::ResourceVector free = m->available();
+      sim::SimTime when = view.now;
+      bool fits = t.demand.fits_within(free);
+      const std::size_t id = m->id();
+      if (id + 1 < offsets_.size()) {
+        for (std::size_t i = offsets_[id]; i < offsets_[id + 1] && !fits; ++i) {
+          free += entries_[i]->demand;
+          when = entries_[i]->expected_end;
+          fits = t.demand.fits_within(free);
+        }
+      }
+      if (fits && when < best_time) {
+        best_time = when;
+        best_machine = m->id();
+      }
+    }
+    return {best_time, best_machine};
+  }
+
+ private:
+  /// Bucket m is entries_[offsets_[m], offsets_[m + 1]).
+  std::vector<std::size_t> offsets_;
+  std::vector<const RunningView*> entries_;
+};
+
 // ---- EASY backfilling --------------------------------------------------------
 
 class EasyBackfilling final : public AllocationPolicy {
@@ -78,18 +176,7 @@ class EasyBackfilling final : public AllocationPolicy {
 
   std::vector<Assignment> decide(const SchedulerView& view) override {
     if (view.ready->empty()) return {};
-    // FCFS order.
-    std::vector<std::size_t> order(view.ready->size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       const ReadyTask& ta = (*view.ready)[a];
-                       const ReadyTask& tb = (*view.ready)[b];
-                       if (ta.job_submit != tb.job_submit)
-                         return ta.job_submit < tb.job_submit;
-                       if (ta.job != tb.job) return ta.job < tb.job;
-                       return ta.task_index < tb.task_index;
-                     });
+    const std::vector<std::size_t> order = ready_order(view, FcfsCmp{});
 
     PlannedCapacity planned(view.machines);
     std::vector<Assignment> out;
@@ -111,7 +198,8 @@ class EasyBackfilling final : public AllocationPolicy {
     // the earliest expected_end at which some machine could fit it,
     // assuming running tasks release their resources then.
     const ReadyTask& head = (*view.ready)[order[head_pos]];
-    const auto [shadow, reserved_machine] = reservation_for(head, view);
+    const auto [shadow, reserved_machine] =
+        ReleaseProfile(view).reservation_for(head, view);
 
     // Backfill: later tasks may start now iff they fit AND
     // (a) their estimated completion is before the shadow time, or
@@ -131,44 +219,6 @@ class EasyBackfilling final : public AllocationPolicy {
     }
     return out;
   }
-
- private:
-  /// Earliest time at which `t` is expected to fit on some machine, and
-  /// that machine's id, under the current running set.
-  static std::pair<sim::SimTime, infra::MachineId> reservation_for(
-      const ReadyTask& t, const SchedulerView& view) {
-    sim::SimTime best_time = sim::kTimeInfinity;
-    infra::MachineId best_machine = 0;
-    for (const infra::Machine* m : view.machines) {
-      if (!t.demand.fits_within(m->capacity())) continue;
-      if (!machine_in_zone(t, m->id())) continue;
-      // Sort this machine's running tasks by end time and release them
-      // in order until the task fits.
-      std::vector<const RunningView*> on_machine;
-      on_machine.reserve(view.running->size());
-      for (const RunningView& r : *view.running) {
-        if (r.machine == m->id()) on_machine.push_back(&r);
-      }
-      std::sort(on_machine.begin(), on_machine.end(),
-                [](const RunningView* a, const RunningView* b) {
-                  return a->expected_end < b->expected_end;
-                });
-      infra::ResourceVector free = m->available();
-      sim::SimTime when = view.now;
-      bool fits = t.demand.fits_within(free);
-      for (const RunningView* r : on_machine) {
-        if (fits) break;
-        free += r->demand;
-        when = r->expected_end;
-        fits = t.demand.fits_within(free);
-      }
-      if (fits && when < best_time) {
-        best_time = when;
-        best_machine = m->id();
-      }
-    }
-    return {best_time, best_machine};
-  }
 };
 
 
@@ -182,22 +232,22 @@ class ConservativeBackfilling final : public AllocationPolicy {
 
   std::vector<Assignment> decide(const SchedulerView& view) override {
     if (view.ready->empty()) return {};
-    std::vector<std::size_t> order(view.ready->size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       const ReadyTask& ta = (*view.ready)[a];
-                       const ReadyTask& tb = (*view.ready)[b];
-                       if (ta.job_submit != tb.job_submit)
-                         return ta.job_submit < tb.job_submit;
-                       if (ta.job != tb.job) return ta.job < tb.job;
-                       return ta.task_index < tb.task_index;
-                     });
+    const std::vector<std::size_t> order = ready_order(view, FcfsCmp{});
 
     PlannedCapacity planned(view.machines);
-    // Earliest reservation start per machine among queued-but-unstarted
-    // tasks; a backfill must complete before it.
-    std::map<infra::MachineId, sim::SimTime> reservation_at;
+    // Earliest reservation start per machine id among queued-but-unstarted
+    // tasks (kTimeInfinity = none); a backfill must complete before it.
+    std::size_t id_span = 0;
+    for (const infra::Machine* m : view.machines) {
+      id_span = std::max<std::size_t>(id_span, std::size_t{m->id()} + 1);
+    }
+    std::vector<sim::SimTime> reservation_at(id_span, sim::kTimeInfinity);
+    std::optional<ReleaseProfile> profile;  // built at the first blocked task
+    // Last reservation computed. It reads only the task's demand and zone
+    // mask plus the round's frozen state, so an equal key gives an equal
+    // result; consecutive blocked tasks of one job share the key.
+    const ReadyTask* memo_task = nullptr;
+    std::pair<sim::SimTime, infra::MachineId> memo;
     std::vector<Assignment> out;
     out.reserve(view.ready->size());
 
@@ -210,8 +260,7 @@ class ConservativeBackfilling final : public AllocationPolicy {
         // here is delayed).
         const sim::SimTime est_end =
             view.now + sim::from_seconds(t.work_seconds / planned.speed(*m));
-        auto rit = reservation_at.find(*m);
-        if (rit == reservation_at.end() || est_end <= rit->second) {
+        if (est_end <= reservation_at[*m]) {
           planned.take(*m, t.demand);
           out.push_back(Assignment{idx, *m});
           continue;
@@ -219,48 +268,18 @@ class ConservativeBackfilling final : public AllocationPolicy {
       }
       // Cannot start: record this task's reservation so later (smaller)
       // tasks cannot delay it.
-      const auto [when, machine] = reservation_for(t, view);
-      if (when == sim::kTimeInfinity) continue;  // can never fit anywhere
-      auto rit = reservation_at.find(machine);
-      if (rit == reservation_at.end() || when < rit->second) {
-        reservation_at[machine] = when;
+      if (memo_task == nullptr || !(memo_task->demand == t.demand) ||
+          memo_task->zone_mask != t.zone_mask ||
+          memo_task->zone_words != t.zone_words) {
+        if (!profile) profile.emplace(view);
+        memo = profile->reservation_for(t, view);
+        memo_task = &t;
       }
+      const auto [when, machine] = memo;
+      if (when == sim::kTimeInfinity) continue;  // can never fit anywhere
+      if (when < reservation_at[machine]) reservation_at[machine] = when;
     }
     return out;
-  }
-
- private:
-  static std::pair<sim::SimTime, infra::MachineId> reservation_for(
-      const ReadyTask& t, const SchedulerView& view) {
-    sim::SimTime best_time = sim::kTimeInfinity;
-    infra::MachineId best_machine = 0;
-    for (const infra::Machine* m : view.machines) {
-      if (!t.demand.fits_within(m->capacity())) continue;
-      if (!machine_in_zone(t, m->id())) continue;
-      std::vector<const RunningView*> on_machine;
-      on_machine.reserve(view.running->size());
-      for (const RunningView& r : *view.running) {
-        if (r.machine == m->id()) on_machine.push_back(&r);
-      }
-      std::sort(on_machine.begin(), on_machine.end(),
-                [](const RunningView* a, const RunningView* b) {
-                  return a->expected_end < b->expected_end;
-                });
-      infra::ResourceVector free = m->available();
-      sim::SimTime when = view.now;
-      bool fits = t.demand.fits_within(free);
-      for (const RunningView* r : on_machine) {
-        if (fits) break;
-        free += r->demand;
-        when = r->expected_end;
-        fits = t.demand.fits_within(free);
-      }
-      if (fits && when < best_time) {
-        best_time = when;
-        best_machine = m->id();
-      }
-    }
-    return {best_time, best_machine};
   }
 };
 
@@ -404,15 +423,7 @@ class RandomPolicy final : public AllocationPolicy {
   sim::Rng rng_;
 };
 
-// Comparators for the ordered policies.
-struct FcfsCmp {
-  bool operator()(const ReadyTask& a, const ReadyTask& b,
-                  const SchedulerView&) const {
-    if (a.job_submit != b.job_submit) return a.job_submit < b.job_submit;
-    if (a.job != b.job) return a.job < b.job;
-    return a.task_index < b.task_index;
-  }
-};
+// Comparators for the other ordered policies (FcfsCmp is at the top).
 struct SjfCmp {
   bool operator()(const ReadyTask& a, const ReadyTask& b,
                   const SchedulerView&) const {

@@ -4,6 +4,7 @@
 // of thread count, merge equivalence, and the sweep CLI vocabulary.
 #include <cmath>
 #include <set>
+#include <string>
 #include <stdexcept>
 #include <gtest/gtest.h>
 
@@ -175,6 +176,45 @@ TEST(SweepCliTest, MalformedValueThrows) {
   EXPECT_THROW((void)parse_sweep_cli(3, bad_value), std::invalid_argument);
   const char* missing[] = {"exp", "--reps"};
   EXPECT_THROW((void)parse_sweep_cli(2, missing), std::invalid_argument);
+}
+
+TEST(SweepCliTest, SignedOrOutOfRangeCountsThrow) {
+  // strtoull alone would read "-3" as 2^64 - 3 and the sweep would then
+  // abort allocating its cell grid.
+  for (const char* value : {"-3", "+3", " 3", "-0", "3x", ""}) {
+    const char* reps[] = {"exp", "--reps", value};
+    EXPECT_THROW((void)parse_sweep_cli(3, reps), std::invalid_argument)
+        << "--reps '" << value << "'";
+    const char* threads[] = {"exp", "--threads", value};
+    EXPECT_THROW((void)parse_sweep_cli(3, threads), std::invalid_argument)
+        << "--threads '" << value << "'";
+  }
+  const char* eq_form[] = {"exp", "--threads=-1"};
+  EXPECT_THROW((void)parse_sweep_cli(2, eq_form), std::invalid_argument);
+  const char* overflow[] = {"exp", "--reps", "99999999999999999999999"};
+  EXPECT_THROW((void)parse_sweep_cli(3, overflow), std::invalid_argument);
+  const std::string too_many = std::to_string(kMaxSweepThreads + 1);
+  const char* threads_cap[] = {"exp", "--threads", too_many.c_str()};
+  EXPECT_THROW((void)parse_sweep_cli(3, threads_cap), std::invalid_argument);
+  const std::string too_deep = std::to_string(kMaxSweepReps + 1);
+  const char* reps_cap[] = {"exp", "--reps", too_deep.c_str()};
+  EXPECT_THROW((void)parse_sweep_cli(3, reps_cap), std::invalid_argument);
+
+  const std::string max_reps = std::to_string(kMaxSweepReps);
+  const std::string max_threads = std::to_string(kMaxSweepThreads);
+  const char* at_cap[] = {"exp", "--reps", max_reps.c_str(), "--threads",
+                          max_threads.c_str()};
+  const SweepCli cli = parse_sweep_cli(5, at_cap);
+  EXPECT_EQ(cli.reps, kMaxSweepReps);
+  EXPECT_EQ(cli.threads, kMaxSweepThreads);
+}
+
+TEST(SweepCliTest, MalformedSloSpecThrows) {
+  const char* bad_threshold[] = {"exp", "--slo", "bot:abc:2"};
+  EXPECT_THROW((void)parse_sweep_cli(3, bad_threshold),
+               std::invalid_argument);
+  const char* bad_target[] = {"exp", "--slo=bot:10:2"};
+  EXPECT_THROW((void)parse_sweep_cli(2, bad_target), std::invalid_argument);
 }
 
 }  // namespace
