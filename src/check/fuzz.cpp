@@ -1,6 +1,8 @@
 #include "check/fuzz.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cstdint>
 #include <iomanip>
 #include <memory>
 #include <sstream>
@@ -489,11 +491,124 @@ std::string to_text(const ScenarioSpec& spec) {
   return out.str();
 }
 
+namespace {
+
+// Strict value parsers for from_text: the whole value must be a number of
+// the field's kind, or the line is rejected (std::stoull alone would take
+// "3x" as 3, " 3" as 3 and "-3" as 2^64 - 3).
+std::uint64_t parse_unsigned(const std::string& value,
+                             std::uint64_t max = UINT64_MAX) {
+  if (value.empty() || std::isdigit(static_cast<unsigned char>(value[0])) == 0) {
+    throw std::invalid_argument(value);
+  }
+  std::size_t used = 0;
+  const unsigned long long n = std::stoull(value, &used);
+  if (used != value.size()) throw std::invalid_argument(value);
+  if (n > max) throw std::out_of_range(value);
+  return n;
+}
+
+double parse_double(const std::string& value) {
+  if (value.empty() || std::isspace(static_cast<unsigned char>(value[0])) != 0) {
+    throw std::invalid_argument(value);
+  }
+  std::size_t used = 0;
+  const double d = std::stod(value, &used);
+  if (used != value.size()) throw std::invalid_argument(value);
+  return d;
+}
+
+bool parse_flag(const std::string& value) {
+  return parse_unsigned(value, 1) != 0;
+}
+
+// Sets one field of `spec`; false when `key` names none.
+bool assign_field(ScenarioSpec& spec, const std::string& key,
+                  const std::string& value) {
+  if (key == "seed") spec.seed = parse_unsigned(value);
+  else if (key == "racks") spec.racks = parse_unsigned(value);
+  else if (key == "per_rack") spec.per_rack = parse_unsigned(value);
+  else if (key == "heterogeneous") spec.heterogeneous = parse_flag(value);
+  else if (key == "accel_fraction") spec.accel_fraction = parse_double(value);
+  else if (key == "trace.job_count")
+    spec.trace.job_count = parse_unsigned(value);
+  else if (key == "trace.arrivals")
+    spec.trace.arrivals = static_cast<workload::ArrivalKind>(parse_unsigned(
+        value, static_cast<std::uint64_t>(workload::ArrivalKind::kDiurnal)));
+  else if (key == "trace.arrival_rate_per_hour")
+    spec.trace.arrival_rate_per_hour = parse_double(value);
+  else if (key == "trace.workflow_fraction")
+    spec.trace.workflow_fraction = parse_double(value);
+  else if (key == "trace.workflow_width")
+    spec.trace.workflow_width = parse_unsigned(value);
+  else if (key == "trace.mean_tasks_per_job")
+    spec.trace.mean_tasks_per_job = parse_double(value);
+  else if (key == "trace.mean_task_seconds")
+    spec.trace.mean_task_seconds = parse_double(value);
+  else if (key == "trace.cv_task_seconds")
+    spec.trace.cv_task_seconds = parse_double(value);
+  else if (key == "trace.mean_cores_per_task")
+    spec.trace.mean_cores_per_task = parse_double(value);
+  else if (key == "trace.memory_per_core_gib")
+    spec.trace.memory_per_core_gib = parse_double(value);
+  else if (key == "trace.accelerated_fraction")
+    spec.trace.accelerated_fraction = parse_double(value);
+  else if (key == "trace.user_count")
+    spec.trace.user_count = parse_unsigned(value);
+  else if (key == "trace.fragmentation_factor")
+    spec.trace.fragmentation_factor = parse_double(value);
+  else if (key == "job_limit") spec.job_limit = parse_unsigned(value);
+  else if (key == "impossible_job") spec.impossible_job = parse_flag(value);
+  else if (key == "policy") spec.policy = value;
+  else if (key == "retry") spec.retry = parse_flag(value);
+  else if (key == "max_retries") spec.max_retries = parse_unsigned(value);
+  else if (key == "scavenging") spec.scavenging = parse_flag(value);
+  else if (key == "failures_enabled")
+    spec.failures_enabled = parse_flag(value);
+  else if (key == "failure.mode")
+    spec.failure.mode = static_cast<failures::CorrelationMode>(
+        parse_unsigned(value, static_cast<std::uint64_t>(
+                                  failures::CorrelationMode::kSpaceAndTime)));
+  else if (key == "failure.failures_per_machine_day")
+    spec.failure.failures_per_machine_day = parse_double(value);
+  else if (key == "failure.mean_repair_seconds")
+    spec.failure.mean_repair_seconds = parse_double(value);
+  else if (key == "failure.cv_repair")
+    spec.failure.cv_repair = parse_double(value);
+  else if (key == "failure.mean_burst_size")
+    spec.failure.mean_burst_size = parse_double(value);
+  else if (key == "failure.weibull_shape")
+    spec.failure.weibull_shape = parse_double(value);
+  else if (key == "failure_limit") spec.failure_limit = parse_unsigned(value);
+  else if (key == "flap_count") spec.flap_count = parse_unsigned(value);
+  else if (key == "horizon")
+    spec.horizon = static_cast<sim::SimTime>(parse_unsigned(value, INT64_MAX));
+  else if (key == "slo") spec.slo = value;
+  else if (key == "score_policy") spec.score_policy = value;
+  else if (key == "score_salt") spec.score_salt = parse_unsigned(value);
+  else if (key == "net_capacity") spec.net_capacity = parse_double(value);
+  else if (key == "net_demand_fraction")
+    spec.net_demand_fraction = parse_double(value);
+  else if (key == "zone_count") spec.zone_count = parse_unsigned(value);
+  else if (key == "zone_job_fraction")
+    spec.zone_job_fraction = parse_double(value);
+  else if (key == "spread_fraction")
+    spec.spread_fraction = parse_double(value);
+  else if (key == "spread_limit")
+    spec.spread_limit =
+        static_cast<std::uint32_t>(parse_unsigned(value, UINT32_MAX));
+  else return false;
+  return true;
+}
+
+}  // namespace
+
 ScenarioSpec from_text(const std::string& text) {
   ScenarioSpec spec;
   std::istringstream in(text);
   std::string line;
   std::size_t line_no = 0;
+  bool any_key = false;
   while (std::getline(in, line)) {
     ++line_no;
     const std::size_t start = line.find_first_not_of(" \t");
@@ -505,81 +620,24 @@ ScenarioSpec from_text(const std::string& text) {
     }
     const std::string key = line.substr(start, eq - start);
     const std::string value = line.substr(eq + 1);
+    any_key = true;
+    bool known = false;
     try {
-      if (key == "seed") spec.seed = std::stoull(value);
-      else if (key == "racks") spec.racks = std::stoull(value);
-      else if (key == "per_rack") spec.per_rack = std::stoull(value);
-      else if (key == "heterogeneous") spec.heterogeneous = std::stoi(value) != 0;
-      else if (key == "accel_fraction") spec.accel_fraction = std::stod(value);
-      else if (key == "trace.job_count") spec.trace.job_count = std::stoull(value);
-      else if (key == "trace.arrivals")
-        spec.trace.arrivals = static_cast<workload::ArrivalKind>(std::stoi(value));
-      else if (key == "trace.arrival_rate_per_hour")
-        spec.trace.arrival_rate_per_hour = std::stod(value);
-      else if (key == "trace.workflow_fraction")
-        spec.trace.workflow_fraction = std::stod(value);
-      else if (key == "trace.workflow_width")
-        spec.trace.workflow_width = std::stoull(value);
-      else if (key == "trace.mean_tasks_per_job")
-        spec.trace.mean_tasks_per_job = std::stod(value);
-      else if (key == "trace.mean_task_seconds")
-        spec.trace.mean_task_seconds = std::stod(value);
-      else if (key == "trace.cv_task_seconds")
-        spec.trace.cv_task_seconds = std::stod(value);
-      else if (key == "trace.mean_cores_per_task")
-        spec.trace.mean_cores_per_task = std::stod(value);
-      else if (key == "trace.memory_per_core_gib")
-        spec.trace.memory_per_core_gib = std::stod(value);
-      else if (key == "trace.accelerated_fraction")
-        spec.trace.accelerated_fraction = std::stod(value);
-      else if (key == "trace.user_count")
-        spec.trace.user_count = std::stoull(value);
-      else if (key == "trace.fragmentation_factor")
-        spec.trace.fragmentation_factor = std::stod(value);
-      else if (key == "job_limit") spec.job_limit = std::stoull(value);
-      else if (key == "impossible_job") spec.impossible_job = std::stoi(value) != 0;
-      else if (key == "policy") spec.policy = value;
-      else if (key == "retry") spec.retry = std::stoi(value) != 0;
-      else if (key == "max_retries") spec.max_retries = std::stoull(value);
-      else if (key == "scavenging") spec.scavenging = std::stoi(value) != 0;
-      else if (key == "failures_enabled")
-        spec.failures_enabled = std::stoi(value) != 0;
-      else if (key == "failure.mode")
-        spec.failure.mode = static_cast<failures::CorrelationMode>(std::stoi(value));
-      else if (key == "failure.failures_per_machine_day")
-        spec.failure.failures_per_machine_day = std::stod(value);
-      else if (key == "failure.mean_repair_seconds")
-        spec.failure.mean_repair_seconds = std::stod(value);
-      else if (key == "failure.cv_repair")
-        spec.failure.cv_repair = std::stod(value);
-      else if (key == "failure.mean_burst_size")
-        spec.failure.mean_burst_size = std::stod(value);
-      else if (key == "failure.weibull_shape")
-        spec.failure.weibull_shape = std::stod(value);
-      else if (key == "failure_limit") spec.failure_limit = std::stoull(value);
-      else if (key == "flap_count") spec.flap_count = std::stoull(value);
-      else if (key == "horizon") spec.horizon = std::stoll(value);
-      else if (key == "slo") spec.slo = value;
-      else if (key == "score_policy") spec.score_policy = value;
-      else if (key == "score_salt") spec.score_salt = std::stoull(value);
-      else if (key == "net_capacity") spec.net_capacity = std::stod(value);
-      else if (key == "net_demand_fraction")
-        spec.net_demand_fraction = std::stod(value);
-      else if (key == "zone_count") spec.zone_count = std::stoull(value);
-      else if (key == "zone_job_fraction")
-        spec.zone_job_fraction = std::stod(value);
-      else if (key == "spread_fraction")
-        spec.spread_fraction = std::stod(value);
-      else if (key == "spread_limit")
-        spec.spread_limit = static_cast<std::uint32_t>(std::stoul(value));
-      // Unknown keys are ignored for forward compatibility.
-    } catch (const std::invalid_argument&) {
-      throw std::invalid_argument("repro line " + std::to_string(line_no) +
-                                  ": malformed value for '" + key + "'");
+      known = assign_field(spec, key, value);
     } catch (const std::out_of_range&) {
       throw std::invalid_argument("repro line " + std::to_string(line_no) +
                                   ": value out of range for '" + key + "'");
+    } catch (const std::invalid_argument&) {
+      throw std::invalid_argument("repro line " + std::to_string(line_no) +
+                                  ": malformed value for '" + key + "'");
     }
+    if (!known) {
+      throw std::invalid_argument("repro line " + std::to_string(line_no) +
+                                  ": unknown key '" + key + "'");
+    }
+  }
+  if (!any_key) {
+    throw std::invalid_argument("repro holds no key=value line");
   }
   return spec;
 }

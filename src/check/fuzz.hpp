@@ -92,8 +92,10 @@ struct ScenarioSpec {
 
 /// Lossless text round-trip (key=value lines; doubles at full precision).
 [[nodiscard]] std::string to_text(const ScenarioSpec& spec);
-/// Parses `to_text` output (unknown keys ignored, '#' comments skipped).
-/// Throws std::invalid_argument on malformed input.
+/// Parses `to_text` output ('#' comments and blank lines skipped; missing
+/// keys keep their defaults). Throws std::invalid_argument on an unknown
+/// key, a value that is not wholly a number of the field's kind, an
+/// out-of-range enum or flag, or text with no key=value line at all.
 [[nodiscard]] ScenarioSpec from_text(const std::string& text);
 
 /// Outcome of one scenario run under the oracle.

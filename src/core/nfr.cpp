@@ -30,10 +30,6 @@ Slo cost_slo(double budget, double weight) {
   return Slo{NfrDimension::kCost, budget, /*is_ceiling=*/true, weight};
 }
 
-Slo throughput_slo(double per_second, double weight) {
-  return Slo{NfrDimension::kThroughput, per_second, /*is_ceiling=*/false, weight};
-}
-
 bool Sla::revise(NfrDimension dim, double new_target) {
   for (Slo& s : objectives_) {
     if (s.dimension == dim) {

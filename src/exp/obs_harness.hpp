@@ -16,7 +16,7 @@
 //               as metrics::Accumulator / Digest merging), then report()
 //               writes the exemplar's Chrome trace_event JSON to
 //               `--trace FILE`, prints `trace digest <16-hex>` over all
-//               cells (the line scripts/check_trace_determinism.sh diffs
+//               cells (the line the gate.<binary> ctests compare
 //               across MCS_THREADS=1 vs 8), and prints the merged
 //               instrument registry under `--metrics`.
 #pragma once

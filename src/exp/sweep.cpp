@@ -92,6 +92,8 @@ SweepCli parse_sweep_cli(int argc, const char* const* argv) {
       if (cli.slo_spec.empty()) {
         throw std::invalid_argument("--slo: missing spec");
       }
+    } else {
+      throw std::invalid_argument("unknown argument: " + arg);
     }
   }
   if (cli.reps == 0) cli.reps = 1;

@@ -19,7 +19,7 @@
 //    (metrics::Accumulator::merge / metrics::Digest::merge) sequentially in
 //    that order. Work distribution is scheduling noise; the fold is not.
 //    Aggregate output is therefore bit-identical at MCS_THREADS=1 and 8
-//    (enforced by the bench.determinism ctest).
+//    (enforced by the gate.<binary> ctests, scripts/gate.sh).
 #pragma once
 
 #include <cstddef>
@@ -109,10 +109,10 @@ struct SweepCli {
 inline constexpr std::size_t kMaxSweepReps = 1u << 16;
 inline constexpr std::size_t kMaxSweepThreads = 1024;
 
-/// Parses the flags above; unknown arguments are ignored so binaries can
-/// layer their own. Throws std::invalid_argument on a malformed value: a
-/// count that is not plain decimal digits (no sign, no whitespace) or is
-/// above its bound, a missing value, or a malformed `--slo` spec.
+/// Parses the flags above. Throws std::invalid_argument on an unknown
+/// argument or a malformed value: a count that is not plain decimal digits
+/// (no sign, no whitespace) or is above its bound, a missing value, or a
+/// malformed `--slo` spec.
 [[nodiscard]] SweepCli parse_sweep_cli(int argc, const char* const* argv);
 
 }  // namespace mcs::exp

@@ -33,16 +33,6 @@ const std::string& Datacenter::zone_of(MachineId id) const {
   return zone_names_[zone_id_of_[id]];
 }
 
-std::vector<MachineId> Datacenter::zone_members(const std::string& zone) const {
-  std::vector<MachineId> out;
-  const auto it = zone_ids_.find(zone);
-  if (it == zone_ids_.end()) return out;
-  for (MachineId id = 0; id < zone_id_of_.size(); ++id) {
-    if (zone_id_of_[id] == it->second) out.push_back(id);
-  }
-  return out;
-}
-
 void Datacenter::add_uniform_racks(std::size_t racks, std::size_t per_rack,
                                    ResourceVector capacity,
                                    double speed_factor, PowerModel power) {
@@ -100,14 +90,6 @@ ResourceVector Datacenter::total_capacity() const {
   ResourceVector total;
   for (const auto& m : machines_) {
     if (m->usable()) total += m->capacity();
-  }
-  return total;
-}
-
-ResourceVector Datacenter::total_used() const {
-  ResourceVector total;
-  for (const auto& m : machines_) {
-    if (m->usable()) total += m->used();
   }
   return total;
 }

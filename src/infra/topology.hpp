@@ -70,13 +70,9 @@ class Datacenter {
   [[nodiscard]] const std::string& zone_of(MachineId id) const;
   /// Distinct zone names seen so far (including "" once machines exist).
   [[nodiscard]] std::size_t zone_count() const { return zone_names_.size(); }
-  [[nodiscard]] std::vector<MachineId> zone_members(
-      const std::string& zone) const;
 
   /// Aggregate capacity over operational machines.
   [[nodiscard]] ResourceVector total_capacity() const;
-  /// Aggregate currently-used resources.
-  [[nodiscard]] ResourceVector total_used() const;
   /// Fraction of operational machines, in [0, 1].
   [[nodiscard]] double availability() const;
   /// Instantaneous power draw across the floor (watts).

@@ -99,11 +99,8 @@ void ExecutionEngine::set_slo(obs::SloTracker* slo) {
 
 std::uint32_t ExecutionEngine::intern_user(const std::string& name) {
   const auto [it, inserted] = user_ids_.try_emplace(
-      name, static_cast<std::uint32_t>(user_names_.size()));
-  if (inserted) {
-    user_names_.push_back(name);
-    user_usage_.push_back(0.0);
-  }
+      name, static_cast<std::uint32_t>(user_usage_.size()));
+  if (inserted) user_usage_.push_back(0.0);
   return it->second;
 }
 

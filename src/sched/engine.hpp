@@ -233,9 +233,6 @@ class ExecutionEngine {
   [[nodiscard]] const std::vector<double>& user_usage_by_id() const {
     return user_usage_;
   }
-  [[nodiscard]] const std::string& user_name(std::uint32_t user_id) const {
-    return user_names_[user_id];
-  }
 
   /// Builds the same view a policy would receive (for surrogate evaluation
   /// by the portfolio scheduler). `running_storage` must outlive the view.
@@ -325,7 +322,6 @@ class ExecutionEngine {
 
   /// User interning: name -> dense id at submit; per-id accounting after.
   std::map<std::string, std::uint32_t> user_ids_;
-  std::vector<std::string> user_names_;
   std::vector<double> user_usage_;  ///< core-seconds, indexed by user id
 
   std::vector<JobStats> completed_;

@@ -118,18 +118,6 @@ std::unique_ptr<PipelineStage> stage_score_speed(double weight) {
   });
 }
 
-std::unique_ptr<PipelineStage> stage_score_spread(double weight) {
-  return stage("score-spread", [weight](CandidateSet& c, const SchedulerView&) {
-    for (const infra::Machine* m : c.machines) {
-      const double free_fraction =
-          m->capacity().cpu() == 0.0
-              ? 0.0
-              : c.planned_free->at(m->id()).cpu() / m->capacity().cpu();
-      c.score[m->id()] += weight * free_fraction;
-    }
-  });
-}
-
 std::unique_ptr<PipelineStage> stage_score_pack(double weight) {
   return stage("score-pack", [weight](CandidateSet& c, const SchedulerView&) {
     for (const infra::Machine* m : c.machines) {

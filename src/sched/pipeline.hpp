@@ -52,11 +52,8 @@ class PipelineStage {
 /// (heterogeneity-aware selection).
 [[nodiscard]] std::unique_ptr<PipelineStage> stage_score_speed(double weight = 1.0);
 
-/// (Step 4) Adds weight * free-core fraction — spreads load.
-[[nodiscard]] std::unique_ptr<PipelineStage> stage_score_spread(double weight = 1.0);
-
 /// (Step 4) Adds weight * used-core fraction — packs load for
-/// consolidation / power (opposite of spread).
+/// consolidation / power.
 [[nodiscard]] std::unique_ptr<PipelineStage> stage_score_pack(double weight = 1.0);
 
 /// (Step 5: advance reservation stub) Drops machines whose running tasks

@@ -119,8 +119,25 @@ TEST(FuzzSpecTest, TextRoundTripPreservesBehavior) {
 TEST(FuzzSpecTest, FromTextRejectsMalformedLines) {
   EXPECT_THROW(from_text("not a key value line"), std::invalid_argument);
   EXPECT_THROW(from_text("racks=banana"), std::invalid_argument);
-  // Comments and unknown keys are fine (forward compatibility).
-  EXPECT_NO_THROW(from_text("# comment\nfuture_knob=3\nracks=2"));
+  EXPECT_NO_THROW(from_text("# comment\n\nracks=2"));
+  // Strict: a mistyped repro must not quietly replay the defaults.
+  EXPECT_THROW(from_text("# comment\nfuture_knob=3\nracks=2"),
+               std::invalid_argument);
+  EXPECT_THROW(from_text(""), std::invalid_argument);
+  EXPECT_THROW(from_text("# only a comment\n"), std::invalid_argument);
+  for (const char* bad :
+       {"racks=3x", "racks= 3", "racks=-3", "racks=", "accel_fraction=0.5x",
+        "retry=2", "horizon=1e3", "horizon=-5", "trace.arrivals=3",
+        "failure.mode=4", "spread_limit=4294967296",
+        "seed=18446744073709551616"}) {
+    EXPECT_THROW(from_text(bad), std::invalid_argument) << bad;
+  }
+  EXPECT_EQ(from_text("trace.arrivals=2").trace.arrivals,
+            workload::ArrivalKind::kDiurnal);
+  EXPECT_EQ(from_text("failure.mode=3").failure.mode,
+            failures::CorrelationMode::kSpaceAndTime);
+  EXPECT_EQ(from_text("failure_limit=18446744073709551615").failure_limit,
+            static_cast<std::size_t>(-1));
 }
 
 TEST(FuzzTest, SeedRunsAreReproducible) {

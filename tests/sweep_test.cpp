@@ -163,12 +163,20 @@ TEST(SweepCliTest, ParsesRepsDigestThreads) {
   EXPECT_EQ(cli.threads, 4u);
 }
 
-TEST(SweepCliTest, DefaultsAndUnknownArgsIgnored) {
-  const char* argv[] = {"exp", "--verbose", "--reps=0"};
-  const SweepCli cli = parse_sweep_cli(3, argv);
+TEST(SweepCliTest, DefaultsAndZeroRepsClamp) {
+  const char* argv[] = {"exp", "--reps=0"};
+  const SweepCli cli = parse_sweep_cli(2, argv);
   EXPECT_EQ(cli.reps, 1u);  // 0 clamps to 1
   EXPECT_FALSE(cli.digest);
   EXPECT_EQ(cli.threads, 0u);
+}
+
+TEST(SweepCliTest, UnknownArgumentThrows) {
+  // A misspelt flag must not quietly run the defaults.
+  const char* misspelt[] = {"exp", "--rep", "3", "--digest"};
+  EXPECT_THROW((void)parse_sweep_cli(4, misspelt), std::invalid_argument);
+  const char* stray[] = {"exp", "--digest", "extra"};
+  EXPECT_THROW((void)parse_sweep_cli(3, stray), std::invalid_argument);
 }
 
 TEST(SweepCliTest, MalformedValueThrows) {

@@ -96,8 +96,16 @@ class JsonParser {
   JsonValue value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
+    if (c == '{' || c == '[') {
+      // Recursive descent: bound the nesting so a hostile file fails with
+      // a message instead of overflowing the stack.
+      if (++depth_ > kMaxDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxDepth));
+      }
+      JsonValue v = c == '{' ? object() : array();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       JsonValue v;
       v.kind = JsonValue::Kind::kString;
@@ -233,8 +241,12 @@ class JsonParser {
     }
   }
 
+  /// Far above the few levels write_report_json emits.
+  static constexpr std::size_t kMaxDepth = 64;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 // ---------------------------------------------------------------------------
